@@ -150,7 +150,7 @@ impl FrontMetrics {
 /// (golden multi-client sessions therefore read v1 `stats`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrontendCounters {
-    /// Sessions served ([`crate::server::serve_connection`] calls).
+    /// Sessions served (stdio, TCP connections and `--multi` clients).
     pub connections: u64,
     /// Requests currently queued for a solve slot (a gauge, not a total).
     pub queued: usize,

@@ -128,19 +128,28 @@ impl fmt::Display for Json {
     }
 }
 
+/// Write `s` as a JSON string literal. Every byte that needs escaping is
+/// ASCII, so the runs between them are whole UTF-8 sequences and go out
+/// with one `write_str` each.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        f.write_str(&s[run..i])?;
+        run = i + 1;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
         }
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -435,5 +444,46 @@ mod tests {
         assert_eq!(parse("3").unwrap().as_usize(), Some(3));
         assert_eq!(parse("3.5").unwrap().as_usize(), None);
         assert_eq!(parse("-3").unwrap().as_usize(), None);
+    }
+
+    /// The per-character escaping that `write_escaped` replaced: the byte
+    /// reference its run-at-a-time output must match.
+    fn escaped_per_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn escaping_by_runs_matches_per_char_escaping() {
+        for s in [
+            "",
+            "plain",
+            "\"",
+            "say \"hi\"",
+            "back\\slash\\",
+            "line\nbreak\r\n",
+            "\ttab",
+            "\u{0}\u{1}\u{8}\u{b}\u{c}\u{1f} \u{7f}",
+            "Jürgen Müller — 查询 \u{1F600}",
+            "é\"ü\\\n漢\u{1}",
+        ] {
+            let want = escaped_per_char(s);
+            assert_eq!(Json::Str(s.to_string()).to_string(), want, "{s:?}");
+            let obj = Json::Obj(vec![(s.to_string(), Json::Null)]).to_string();
+            assert_eq!(obj, format!("{{{want}:null}}"), "{s:?}");
+            assert_eq!(parse(&want).unwrap(), Json::Str(s.to_string()), "{s:?}");
+        }
     }
 }

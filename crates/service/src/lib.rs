@@ -97,11 +97,10 @@ pub use api::{
 pub use batch::{JraBatch, JraQuery, QueryPaper};
 pub use durable::{DurabilityStats, DurableOptions, FsyncPolicy, RecoveryInfo};
 pub use frontend::{Frontend, FrontendCounters, FrontendOptions, JraOutcome};
-pub use server::{serve_connection, serve_metrics, serve_multi, serve_stdio, serve_tcp};
-pub use shard::{
-    serve_router_connection, serve_router_tcp, Router, RouterOptions, ShardPlan, ShardedCraAnswer,
-    ShardedStore,
+pub use server::{
+    serve_connection, serve_metrics, serve_multi, serve_stdio, serve_tcp, LineHandler,
 };
+pub use shard::{Router, RouterOptions, ShardPlan, ShardedCraAnswer, ShardedStore};
 pub use store::{PendingUpdate, Snapshot, StoreStats, Update, VersionedStore};
 pub use telemetry::{MetricsSnapshot, Telemetry};
 pub use wgrap_core::error::{Error, Result};

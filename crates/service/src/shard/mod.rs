@@ -45,5 +45,5 @@ pub mod router;
 pub mod store;
 
 pub use plan::ShardPlan;
-pub use router::{serve_router_connection, serve_router_tcp, Router, RouterOptions};
+pub use router::{Router, RouterOptions};
 pub use store::{ShardedCraAnswer, ShardedStore};

@@ -47,11 +47,12 @@
 //! built from the reported paper counts.
 
 use crate::json::{self, Json};
+use crate::server::{error_response, respond_to, versioned_error, LineHandler, Protocol};
 use crate::shard::{merge, ShardPlan};
 use crate::telemetry::{Counter, Gauge, Telemetry};
 use crate::{Error, Result};
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -60,14 +61,6 @@ use std::time::Instant;
 /// known ops mint `requests_total{op=…}` series, so attacker-controlled
 /// op strings can never grow the registry.
 const COUNTED_OPS: [&str; 6] = ["jra", "batch", "update", "assign", "stats", "metrics"];
-
-/// Upstream protocol version of one request (mirrors the server's
-/// private negotiation: no `"v"` means v1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Proto {
-    V1,
-    V2,
-}
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -106,10 +99,9 @@ impl ShardConn {
     fn request(&self, line: &str) -> io::Result<String> {
         self.requests.inc();
         fn round_trip(conn: &mut BufReader<TcpStream>, line: &str) -> io::Result<String> {
-            let stream = conn.get_mut();
-            stream.write_all(line.as_bytes())?;
-            stream.write_all(b"\n")?;
-            stream.flush()?;
+            // One write per request on a TCP_NODELAY socket: see the
+            // Transport section of `crate::server`.
+            conn.get_mut().write_all(format!("{line}\n").as_bytes())?;
             let mut response = String::new();
             if conn.read_line(&mut response)? == 0 {
                 return Err(io::Error::new(
@@ -130,7 +122,7 @@ impl ShardConn {
             }
         }
         let fresh = TcpStream::connect(&self.addr)
-            .map(BufReader::new)
+            .and_then(|stream| stream.set_nodelay(true).map(|()| BufReader::new(stream)))
             .and_then(|mut conn| round_trip(&mut conn, line).map(|r| (conn, r)));
         match fresh {
             Ok((conn, response)) => {
@@ -246,42 +238,25 @@ impl Router {
     /// panics on bad input — every error becomes an `{"ok":false,...}`
     /// response, every unreachable shard a structured `shard_down`).
     pub fn handle_line(&self, line: &str) -> Json {
-        let request = match json::parse(line) {
-            Ok(v) => v,
-            Err(e) => return error_response(&format!("bad JSON: {e}")),
-        };
-        let proto = match request.get("v") {
-            None => Proto::V1,
-            Some(v) => match v.as_usize() {
-                Some(1) => Proto::V1,
-                Some(2) => Proto::V2,
-                _ => return error_response("unsupported protocol version (valid: 1, 2)"),
-            },
-        };
-        let Some(op) = request.get("op").and_then(Json::as_str) else {
-            return versioned_error(proto, "missing \"op\"");
-        };
-        if COUNTED_OPS.contains(&op) {
-            self.telemetry.counter(&format!("requests_total{{op=\"{op}\"}}")).inc();
-        }
-        let result = match op {
-            "jra" => self.route_jra(&request, proto),
-            "batch" => self.route_batch(&request, proto),
-            "update" => self.route_update(&request, proto),
-            "assign" => self.route_assign(&request, proto),
-            "stats" => self.route_stats(&request, proto),
-            "metrics" => self.route_metrics(&request, proto),
-            other => Err(format!("unknown op '{other}'")),
-        };
-        match result {
-            Ok(v) => v,
-            Err(e) => versioned_error(proto, &e),
-        }
+        respond_to(line, |op, request, proto| {
+            if COUNTED_OPS.contains(&op) {
+                self.telemetry.counter(&format!("requests_total{{op=\"{op}\"}}")).inc();
+            }
+            match op {
+                "jra" => self.route_jra(request, proto),
+                "batch" => self.route_batch(request, proto),
+                "update" => self.route_update(request, proto),
+                "assign" => self.route_assign(request, proto),
+                "stats" => self.route_stats(request, proto),
+                "metrics" => self.route_metrics(request, proto),
+                other => Err(format!("unknown op '{other}'")),
+            }
+        })
     }
 
     /// Forward `line` to shard `s` and parse its response; an unreachable
     /// shard becomes the structured `shard_down` response.
-    fn forward(&self, s: usize, line: &str, proto: Proto) -> Json {
+    fn forward(&self, s: usize, line: &str, proto: Protocol) -> Json {
         match self.shards[s].request(line) {
             Ok(response) => match json::parse(&response) {
                 Ok(v) => v,
@@ -295,7 +270,7 @@ impl Router {
         self.plan.lock().expect("router plan lock").clone()
     }
 
-    fn route_jra(&self, request: &Json, proto: Proto) -> std::result::Result<Json, String> {
+    fn route_jra(&self, request: &Json, proto: Protocol) -> std::result::Result<Json, String> {
         let plan = self.plan();
         if let Some(p) = request.get("paper_id").and_then(Json::as_usize) {
             let Some((s, local)) = plan.locate(p) else {
@@ -339,7 +314,7 @@ impl Router {
         Ok(self.forward(0, &request.to_string(), proto))
     }
 
-    fn route_batch(&self, request: &Json, proto: Proto) -> std::result::Result<Json, String> {
+    fn route_batch(&self, request: &Json, proto: Protocol) -> std::result::Result<Json, String> {
         let plan = self.plan();
         let queries =
             request.get("queries").and_then(Json::as_arr).ok_or("\"queries\" must be an array")?;
@@ -401,7 +376,7 @@ impl Router {
                 continue;
             }
             let mut members = Vec::new();
-            if proto == Proto::V2 {
+            if proto == Protocol::V2 {
                 members.push(("v", Json::Num(2.0)));
             }
             members.push(("op", Json::Str("batch".into())));
@@ -434,7 +409,7 @@ impl Router {
         let results: Vec<Json> = slots
             .into_iter()
             .map(|slot| match slot {
-                Slot::Failed(message) => entry_error(&message),
+                Slot::Failed(message) => error_response(&message),
                 Slot::Routed { shard, index } => match &answers[shard] {
                     ShardAnswer::Results(entries) => entries[index].clone(),
                     ShardAnswer::Down => shard_down_entry(shard),
@@ -468,7 +443,7 @@ impl Router {
             })
             .collect();
         let mut members = vec![("ok", Json::Bool(true))];
-        if proto == Proto::V2 {
+        if proto == Protocol::V2 {
             members.push(("v", Json::Num(2.0)));
         }
         members.push(("op", Json::Str("batch".into())));
@@ -477,7 +452,7 @@ impl Router {
         Ok(Json::obj(members))
     }
 
-    fn route_update(&self, request: &Json, proto: Proto) -> std::result::Result<Json, String> {
+    fn route_update(&self, request: &Json, proto: Protocol) -> std::result::Result<Json, String> {
         let plan = self.plan();
         let items =
             request.get("updates").and_then(Json::as_arr).ok_or("\"updates\" must be an array")?;
@@ -561,7 +536,7 @@ impl Router {
             self.epoch.fetch_add(1, Ordering::AcqRel) + 1
         };
         let mut members = vec![("ok", Json::Bool(true))];
-        if proto == Proto::V2 {
+        if proto == Protocol::V2 {
             members.push(("v", Json::Num(2.0)));
         }
         members.extend([
@@ -574,10 +549,10 @@ impl Router {
         Ok(Json::obj(members))
     }
 
-    fn route_assign(&self, request: &Json, proto: Proto) -> std::result::Result<Json, String> {
+    fn route_assign(&self, request: &Json, proto: Protocol) -> std::result::Result<Json, String> {
         let plan = self.plan();
         let mut body = Vec::new();
-        if proto == Proto::V2 {
+        if proto == Protocol::V2 {
             body.push(("v", Json::Num(2.0)));
         }
         body.push(("op", Json::Str("assign".into())));
@@ -676,7 +651,7 @@ impl Router {
         let group_json: Vec<Json> =
             groups.iter().map(|g| Json::nums(g.iter().map(|&r| r as f64))).collect();
         let mut members = vec![("ok", Json::Bool(true))];
-        if proto == Proto::V2 {
+        if proto == Protocol::V2 {
             members.push(("v", Json::Num(2.0)));
         }
         members.extend([
@@ -690,7 +665,7 @@ impl Router {
         Ok(Json::obj(members))
     }
 
-    fn route_stats(&self, request: &Json, proto: Proto) -> std::result::Result<Json, String> {
+    fn route_stats(&self, request: &Json, proto: Protocol) -> std::result::Result<Json, String> {
         let plan = self.plan();
         let timings = request.get("timings").and_then(Json::as_bool) == Some(true);
         let mut shard_entries = Vec::with_capacity(plan.num_shards());
@@ -745,7 +720,7 @@ impl Router {
             return Err("shard_down: all shards unreachable".into());
         };
         let mut members = vec![("ok", Json::Bool(true))];
-        if proto == Proto::V2 {
+        if proto == Protocol::V2 {
             members.push(("v", Json::Num(2.0)));
         }
         members.extend([
@@ -758,14 +733,14 @@ impl Router {
                 members.push((key, v.clone()));
             }
         }
-        if proto == Proto::V2 {
+        if proto == Protocol::V2 {
             members.push(("shards", Json::Arr(shard_entries)));
         }
         Ok(Json::obj(members))
     }
 
-    fn route_metrics(&self, request: &Json, proto: Proto) -> std::result::Result<Json, String> {
-        if proto != Proto::V2 {
+    fn route_metrics(&self, request: &Json, proto: Protocol) -> std::result::Result<Json, String> {
+        if proto != Protocol::V2 {
             return Err("\"metrics\" requires protocol v2 (send \"v\":2)".into());
         }
         let timings = request.get("timings").and_then(Json::as_bool) == Some(true);
@@ -789,28 +764,13 @@ impl Router {
     }
 }
 
-fn error_response(message: &str) -> Json {
-    Json::obj([("ok", Json::Bool(false)), ("error", Json::Str(message.into()))])
-}
-
-fn versioned_error(proto: Proto, message: &str) -> Json {
-    match proto {
-        Proto::V1 => error_response(message),
-        Proto::V2 => Json::obj([
-            ("ok", Json::Bool(false)),
-            ("v", Json::Num(2.0)),
-            ("error", Json::Str(message.into())),
-        ]),
-    }
-}
-
 /// The structured degraded-mode response: the shard exists in the plan
 /// but cannot be reached. `"shard"` tells the operator which process to
 /// look at; the error string is deterministic (no OS error text), so
 /// degradation cases can be golden-tested.
-fn shard_down_response(proto: Proto, s: usize) -> Json {
+fn shard_down_response(proto: Protocol, s: usize) -> Json {
     let mut members = vec![("ok", Json::Bool(false))];
-    if proto == Proto::V2 {
+    if proto == Protocol::V2 {
         members.push(("v", Json::Num(2.0)));
     }
     members.push(("shard", Json::Num(s as f64)));
@@ -828,10 +788,6 @@ fn shard_down_entry(s: usize) -> Json {
     ])
 }
 
-fn entry_error(message: &str) -> Json {
-    Json::obj([("ok", Json::Bool(false)), ("error", Json::Str(message.into()))])
-}
-
 /// Replace an existing member's value in a JSON object (no-op when the
 /// key is absent — callers only rewrite members they just read).
 fn set_member(obj: &mut Json, key: &str, value: Json) {
@@ -842,41 +798,9 @@ fn set_member(obj: &mut Json, key: &str, value: Json) {
     }
 }
 
-/// Run a request/response session against the router: one JSON request
-/// per input line, one JSON response per line on `out`, until EOF —
-/// the router-side mirror of
-/// [`serve_connection`](crate::server::serve_connection).
-pub fn serve_router_connection<R: BufRead, W: Write>(
-    router: &Router,
-    input: R,
-    mut out: W,
-) -> io::Result<()> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = router.handle_line(&line);
-        writeln!(out, "{response}")?;
-        out.flush()?;
-    }
-    Ok(())
-}
-
-/// Accept TCP connections forever, one thread per connection, all sharing
-/// the router (downstream connections are per-shard and internally
-/// locked). The listener is bound by the caller so tests can pick port 0.
-pub fn serve_router_tcp(listener: TcpListener, router: Arc<Router>) -> io::Result<()> {
-    loop {
-        let (socket, _) = listener.accept()?;
-        let router = Arc::clone(&router);
-        std::thread::spawn(move || {
-            let reader = BufReader::new(match socket.try_clone() {
-                Ok(s) => s,
-                Err(_) => return,
-            });
-            let _ = serve_router_connection(&router, reader, socket);
-        });
+impl LineHandler for Router {
+    fn respond(&self, line: &str) -> Json {
+        self.handle_line(line)
     }
 }
 
@@ -885,7 +809,9 @@ mod tests {
     use super::*;
     use crate::api::Service;
     use crate::frontend::Frontend;
-    use crate::server::{handle_line, serve_tcp};
+    use crate::server::{handle_line, serve_connection, serve_tcp};
+    use std::net::TcpListener;
+    use std::time::Duration;
     use wgrap_core::prelude::{Instance, Scoring};
     use wgrap_core::topic::TopicVector;
 
@@ -1071,11 +997,9 @@ mod tests {
         let frontend = shard_frontend(dying);
         std::thread::spawn(move || {
             let (socket, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(socket.try_clone().unwrap());
             let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            let mut socket = socket;
-            writeln!(socket, "{}", handle_line(&frontend, &line)).unwrap();
+            BufReader::new(socket.try_clone().unwrap()).read_line(&mut line).unwrap();
+            serve_connection(line.as_bytes(), socket, |l| handle_line(&frontend, l)).unwrap();
         });
         let router = Router::connect(&addrs, RouterOptions::default()).unwrap();
         // A paper on the dead shard: structured shard_down, not a hang.
@@ -1103,5 +1027,76 @@ mod tests {
         assert_eq!(shards[2].get("up").and_then(Json::as_bool), Some(false));
         assert_eq!(shards[2].get("error").and_then(Json::as_str), Some("shard_down"));
         assert_eq!(shards[0].get("up").and_then(Json::as_bool), Some(true));
+    }
+
+    /// A sink that keeps each `write` call's bytes apart.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn serve_connection_writes_each_response_line_once() {
+        let input = concat!(
+            "{\"op\":\"jra\",\"paper_id\":0}\n",
+            "{\"v\":2,\"op\":\"batch\",\"queries\":[{\"paper_id\":1},{\"paper_name\":\"paper-5\"}]}\n",
+            "\n",
+            "not json\n",
+            "{\"v\":2,\"op\":\"stats\"}\n",
+        );
+        let writes = |respond: &dyn Fn(&str) -> Json| {
+            let mut log = WriteLog::default();
+            serve_connection(input.as_bytes(), &mut log, respond).unwrap();
+            log.0
+        };
+        let frontend = unsharded();
+        let router =
+            Router::connect(&spawn_shards(&instance(), 2), RouterOptions::default()).unwrap();
+        for (who, log) in [
+            ("frontend", writes(&|line| handle_line(&frontend, line))),
+            ("router", writes(&|line| router.handle_line(line))),
+        ] {
+            assert_eq!(log.len(), 4, "{who}: one write per non-blank request line");
+            for write in &log {
+                let text = std::str::from_utf8(write).unwrap();
+                assert!(text.ends_with('\n') && text.matches('\n').count() == 1, "{who}: {text}");
+                assert!(json::parse(text).is_ok(), "{who}: a whole response per write: {text}");
+            }
+        }
+    }
+
+    #[test]
+    fn routed_round_trips_do_not_wait_for_delayed_acks() {
+        // Closed loop through a TCP router over two TCP shards: each
+        // round trip crosses three sockets. A response split over many
+        // writes waits ~40 ms per hop for the peer's delayed ACK.
+        let router =
+            Router::connect(&spawn_shards(&instance(), 2), RouterOptions::default()).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || serve_tcp(listener, Arc::new(router)));
+        let mut client = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let started = Instant::now();
+        for _ in 0..20 {
+            client.write_all(b"{\"op\":\"stats\"}\n").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains("\"ok\":true"), "{line}");
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(400),
+            "20 routed stats round trips took {elapsed:?}"
+        );
     }
 }
